@@ -119,7 +119,6 @@ from repro.serving import (
     ServiceConfig,
     TornTailWarning,
     WriteAheadLog,
-    create_asgi_app,
     create_http_server,
     feedback_from_payload,
     verify_wal,
@@ -146,7 +145,6 @@ __all__ = [
     "PeerSummary",
     "ReputationService",
     "ServiceConfig",
-    "create_asgi_app",
     "create_http_server",
     "feedback_from_payload",
     # durability + resilience

@@ -13,11 +13,9 @@ record file, ``--csv`` for the CSV twin, ``--seed`` for the campaign seed
 and ``--backend`` for the compute backend (records are byte-identical
 across backends by contract).
 
-``python -m repro.experiments`` is the deprecated historical spelling: it
-warns once and forwards here, producing byte-identical artifacts (a CI
-check holds the shim to that).  For ergonomic and compatibility reasons a
-first argument that is not a subcommand is treated as ``run`` input, so
-``repro figure1 --full`` and the historical bare invocations keep working.
+For ergonomic and compatibility reasons a first argument that is not a
+subcommand is treated as ``run`` input, so ``repro figure1 --full`` and the
+historical run flags keep working.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ import sys
 from typing import TextIO
 
 from repro import _profiling
+from repro.durable_log import read_header
 from repro.errors import ConfigurationError, IntegrityError
 from repro.experiments.journal import JOURNAL_MAGIC, verify_journal
 from repro.experiments.reporting import format_sweep_summary
@@ -53,9 +52,9 @@ share --out/--csv/--seed/--backend conventions.
 """
 
 
-def build_run_parser(prog: str = "repro run") -> argparse.ArgumentParser:
+def build_run_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro run",
         description="Run the paper-reproduction experiments.",
         epilog=(
             "Use the 'sweep' subcommand for parallel parameter campaigns: "
@@ -91,9 +90,9 @@ def build_run_parser(prog: str = "repro run") -> argparse.ArgumentParser:
     return parser
 
 
-def build_sweep_parser(prog: str = "repro sweep") -> argparse.ArgumentParser:
+def build_sweep_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro sweep",
         description=(
             "Run a parallel sweep campaign over one registered experiment "
             "and write structured records."
@@ -214,12 +213,13 @@ def build_sweep_parser(prog: str = "repro sweep") -> argparse.ArgumentParser:
     return parser
 
 
-def build_verify_parser(prog: str = "repro verify-records") -> argparse.ArgumentParser:
+def build_verify_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro verify-records",
         description=(
             "Verify the integrity of record artifacts: JSON/CSV files "
-            "against their SHA-256 sidecars, sweep journals line by line."
+            "against their SHA-256 sidecars, sweep journals and serve WALs "
+            "line by line."
         ),
     )
     parser.add_argument(
@@ -237,48 +237,41 @@ def build_verify_parser(prog: str = "repro verify-records") -> argparse.Argument
 def _verify_one(path: str) -> tuple[str | None, str | None]:
     """Check one artifact; returns ``(error, warning)`` (both None = intact).
 
-    Dispatch is by content: sweep journals and serve WALs are recognized
-    from their header line; anything else (records, service snapshots) is
-    checked against its SHA-256 sidecar.  For a WAL, torn/corrupt *tail*
-    lines are a warning, not a failure — they were never acked and the
-    next recovery truncates them; damaged interior lines (acked evidence
-    lost) fail hard.
+    Dispatch is on the header's ``format``: sweep journals and serve WALs
+    are checked line by line; anything else (records, service snapshots)
+    is checked against its SHA-256 sidecar.  For a WAL, torn/corrupt
+    *tail* lines are a warning, not a failure — they were never acked and
+    the next recovery truncates them; damaged interior lines (acked
+    evidence lost) fail hard.
     """
     try:
-        with open(path, "rb") as handle:
-            first = handle.readline()
+        header = read_header(path)
     except OSError as error:
         return f"cannot read file: {error}", None
-    if first.startswith(b'{"campaign_sha256"') or JOURNAL_MAGIC.encode() in first:
-        try:
-            n_valid, n_invalid = verify_journal(path)
-        except IntegrityError as error:
-            return str(error), None
-        if n_invalid:
-            return f"{n_invalid} corrupt/truncated journal lines ({n_valid} intact)", None
-        return None, None
-    if b"repro-serve-wal" in first:  # WAL_MAGIC; literal keeps serving lazy
-        from repro.serving.wal import verify_wal
-
-        try:
-            n_valid, n_tail = verify_wal(path)
-        except IntegrityError as error:
-            return str(error), None
-        if n_tail:
-            return None, (
-                f"{n_tail} torn/corrupt unacked tail line(s) "
-                f"({n_valid} intact batches; next recovery truncates the tail)"
-            )
-        return None, None
+    kind = None if header is None else header.get("format")
     try:
-        verify_file_checksum(path)
+        if kind == JOURNAL_MAGIC:
+            n_valid, n_invalid = verify_journal(path)
+            if n_invalid:
+                return f"{n_invalid} corrupt/truncated journal lines ({n_valid} intact)", None
+        elif kind == "repro-serve-wal":  # WAL_MAGIC; literal keeps serving lazy
+            from repro.serving.wal import verify_wal
+
+            n_valid, n_tail = verify_wal(path)
+            if n_tail:
+                return None, (
+                    f"{n_tail} torn/corrupt unacked tail line(s) "
+                    f"({n_valid} intact batches; next recovery truncates the tail)"
+                )
+        else:
+            verify_file_checksum(path)
     except IntegrityError as error:
         return str(error), None
     return None, None
 
 
-def verify_records_main(argv: list[str], *, prog: str = "repro verify-records") -> int:
-    parser = build_verify_parser(prog)
+def verify_records_main(argv: list[str]) -> int:
+    parser = build_verify_parser()
     args = parser.parse_args(argv)
     failures = 0
     for path in args.paths:
@@ -293,8 +286,8 @@ def verify_records_main(argv: list[str], *, prog: str = "repro verify-records") 
     return 1 if failures else 0
 
 
-def sweep_main(argv: list[str], *, prog: str = "repro sweep") -> int:
-    parser = build_sweep_parser(prog)
+def sweep_main(argv: list[str]) -> int:
+    parser = build_sweep_parser()
     args = parser.parse_args(argv)
     try:
         spec = spec_from_options(
@@ -369,8 +362,8 @@ def sweep_main(argv: list[str], *, prog: str = "repro sweep") -> int:
     return 0
 
 
-def run_main(argv: list[str], *, prog: str = "repro run") -> int:
-    parser = build_run_parser(prog)
+def run_main(argv: list[str]) -> int:
+    parser = build_run_parser()
     args = parser.parse_args(argv)
 
     if args.list:
@@ -399,39 +392,28 @@ def run_main(argv: list[str], *, prog: str = "repro run") -> int:
     return 0
 
 
-def serve_main(argv: list[str]) -> int:
-    # Imported lazily: `repro run` and friends should not pay for (or be
-    # able to break on) the serving stack.
-    from repro.serving.cli import main as serving_main
-
-    return serving_main(argv)
-
-
-def dispatch(argv: list[str], *, empty_runs_all: bool = False) -> int:
-    """Route one invocation.
-
-    ``empty_runs_all`` preserves the historical ``python -m repro.experiments``
-    contract where a bare invocation runs every experiment; the new top
-    level prints the overview instead.
-    """
-    if argv and argv[0] == "run":
-        return run_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        return sweep_main(argv[1:])
-    if argv and argv[0] == "scenario":
+def dispatch(argv: list[str]) -> int:
+    """Route one invocation; a bare invocation prints the overview."""
+    if not argv or argv[0] in ("help", "--help", "-h"):
+        print(_OVERVIEW, end="")
+        return 0
+    command, rest = argv[0], argv[1:]
+    if command == "run":
+        return run_main(rest)
+    if command == "sweep":
+        return sweep_main(rest)
+    if command == "scenario":
         from repro.scenarios.schema.cli import main as scenario_main
 
-        return scenario_main(argv[1:])
-    if argv and argv[0] == "verify-records":
-        return verify_records_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if not argv and not empty_runs_all:
-        print(_OVERVIEW, end="")
-        return 0
-    if argv and argv[0] in ("help", "--help", "-h"):
-        print(_OVERVIEW, end="")
-        return 0
+        return scenario_main(rest)
+    if command == "verify-records":
+        return verify_records_main(rest)
+    if command == "serve":
+        # Imported lazily: `repro run` and friends should not pay for (or be
+        # able to break on) the serving stack.
+        from repro.serving.cli import main as serve_main
+
+        return serve_main(rest)
     # Anything else is `run` input: experiment names or run flags.
     return run_main(argv)
 

@@ -24,7 +24,8 @@ Each module implements one experiment of the DESIGN.md index:
   results with deterministic JSON/CSV serialization;
 * :mod:`repro.experiments.sweep` — parallel sweep campaigns (grid, random
   and Latin-hypercube parameter coverage) over any registered experiment;
-* :mod:`repro.experiments.runner` / ``__main__`` — registry and CLI.
+* :mod:`repro.experiments.runner` — the experiment registry (the CLI is
+  :mod:`repro.cli`).
 """
 
 from repro.experiments.results import (

@@ -3,7 +3,7 @@
 Every experiment module exposes ``run(**kwargs) -> result``,
 ``report(result) -> str`` and ``summarize(result) -> dict`` (a flat mapping
 of JSON scalars); the registry maps human-facing names to those triples so
-the CLI (``python -m repro.experiments``), the sweep engine
+the CLI (``python -m repro``), the sweep engine
 (:mod:`repro.experiments.sweep`) and EXPERIMENTS.md can refer to experiments
 uniformly.  ``run_experiment`` keeps the historical text-report API;
 ``run_experiment_structured`` is the machine-readable path the sweep engine

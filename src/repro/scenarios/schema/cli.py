@@ -1,10 +1,9 @@
 """``scenario`` CLI subcommands: list, validate, verify and run templates.
 
-Reached as ``python -m repro.experiments scenario <command>`` (and the
-``repro-scenario`` console script).  ``validate`` is the CI scenario-gate
-workhorse: it parses every shipped template strictly, checks the
-parse → serialize → parse round-trip, and (with ``--catalog``) checks the
-catalog ⇄ template parity both ways; ``verify`` runs the golden-record
+Reached as ``repro scenario <command>`` (``python -m repro scenario``).
+``validate`` is the CI scenario-gate workhorse: it parses every shipped
+template strictly, checks the parse → serialize → parse round-trip, and
+(with ``--catalog``) checks the catalog ⇄ template parity both ways; ``verify`` runs the golden-record
 equivalence check; ``run`` executes one template and writes deterministic
 record files suitable for ``cmp``-based byte comparison across backends.
 """
@@ -191,7 +190,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments scenario",
+        prog="repro scenario",
         description="List, validate, verify and run declarative scenario templates.",
     )
     parser.add_argument(

@@ -1,9 +1,7 @@
-"""``repro-serve``: boot a live reputation service over HTTP.
+"""``repro serve``: boot a live reputation service over HTTP.
 
-The stdlib adapter only — zero dependencies beyond the standard library, so
-the same command works on a laptop, in tier-1 CI and inside the serve-gate
-job.  Deployments with an ASGI stack should mount
-:func:`repro.serving.http.create_asgi_app` under uvicorn instead.
+The stdlib adapter — zero dependencies beyond the standard library, so the
+same command works on a laptop, in tier-1 CI and inside the serve-gate job.
 
 Subprocess coordination: with ``--port 0`` the OS picks a free port; the
 bound address is printed on stdout and, with ``--port-file``, written to a
@@ -23,13 +21,12 @@ from repro.serving.http import ReputationHTTPServer, create_http_server
 from repro.serving.service import ReputationService, ServiceConfig
 
 
-def build_serve_parser(parser: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
-    """The ``repro-serve`` argument surface (reused by ``repro serve``)."""
-    if parser is None:
-        parser = argparse.ArgumentParser(
-            prog="repro-serve",
-            description="Serve live reputation scores over HTTP (stdlib adapter).",
-        )
+def build_serve_parser() -> argparse.ArgumentParser:
+    """The ``repro serve`` argument surface."""
+    parser = argparse.ArgumentParser(
+        prog="repro serve",
+        description="Serve live reputation scores over HTTP (stdlib adapter).",
+    )
     parser.add_argument("--host", default="127.0.0.1", help="bind address (default: %(default)s)")
     parser.add_argument(
         "--port",

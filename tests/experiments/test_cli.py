@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from repro.experiments.__main__ import build_sweep_parser, main
+from repro.cli import build_sweep_parser, main
 
 
 class TestLegacyCli:
+    """The historical run spellings: bare experiment names and run flags."""
+
     def test_list_shows_every_registered_experiment(self, capsys):
         assert main(["--list"]) == 0
         output = capsys.readouterr().out

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import IntegrityError
-from repro.experiments.__main__ import main
+from repro.cli import main
 from repro.experiments.results import (
     ExperimentRecord,
     checksum_sidecar_path,

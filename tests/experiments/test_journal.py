@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.durable_log import TornTailWarning
 from repro.errors import ConfigurationError, IntegrityError
 from repro.experiments.journal import SweepJournal, campaign_digest, verify_journal
 from repro.experiments.results import records_to_json
@@ -85,9 +86,15 @@ class TestJournaledSweep:
         raw = journal_path.read_bytes()
         journal_path.write_bytes(raw[: len(raw) - 40])
 
-        result = run_sweep(make_spec(), journal=str(journal_path))
+        with pytest.warns(TornTailWarning):
+            result = run_sweep(make_spec(), journal=str(journal_path))
         assert result.n_resumed == 3
         assert _json(result) == cold
+        # The fragment was cut on resume, so the re-run task's record landed
+        # on a line of its own: the next resume finds every task intact.
+        again = run_sweep(make_spec(), journal=str(journal_path))
+        assert again.n_resumed == 4
+        assert verify_journal(str(journal_path)) == (4, 0)
 
     def test_different_campaign_is_rejected(self, tmp_path):
         journal = str(tmp_path / "sweep.jnl")

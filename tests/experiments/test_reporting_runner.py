@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.__main__ import build_parser, main
+from repro.cli import build_run_parser, main
 from repro.experiments.reporting import format_series, format_table, format_value
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 
@@ -71,7 +71,7 @@ class TestRegistry:
 
 class TestCli:
     def test_parser_lists_experiments_in_help(self):
-        parser = build_parser()
+        parser = build_run_parser()
         assert "figure1" in parser.format_help()
 
     def test_list_flag(self, capsys):

@@ -90,26 +90,6 @@ class TestRoundTrip:
         assert reopened.entry_count == 3
         reopened.close()
 
-    def test_missing_file_starts_fresh(self, tmp_path):
-        path = tmp_path / "new.wal"
-        wal, entries, truncated = WriteAheadLog.open(str(path), config_sha256=CONFIG)
-        assert (entries, truncated) == ([], 0)
-        header = json.loads(path.read_bytes().split(b"\n")[0])
-        assert header == {
-            "config_sha256": CONFIG,
-            "format": "repro-serve-wal",
-            "version": 1,
-        }
-        wal.close()
-
-    def test_torn_header_is_recreated(self, tmp_path):
-        path = tmp_path / "torn-header.wal"
-        path.write_bytes(b'{"config_sha256": "abc')  # crash mid-header, no newline
-        wal, entries, truncated = WriteAheadLog.open(str(path), config_sha256=CONFIG)
-        assert (entries, truncated) == ([], 0)
-        assert verify_wal(str(path)) == (0, 0)
-        wal.close()
-
     def test_config_mismatch_is_refused(self, tmp_path):
         path = tmp_path / "serve.wal"
         fresh_wal(path, 2).close()

@@ -1,18 +1,8 @@
-"""The unified ``repro`` CLI and the byte-equivalence of the legacy shim.
-
-``python -m repro.experiments`` must remain a perfect alias of the new
-``python -m repro`` surface: same records, byte for byte, plus exactly one
-deprecation warning.  These tests are the contract the CI shim-equivalence
-check enforces.
-"""
-
-import json
-import warnings
+"""The unified ``repro`` CLI: subcommand routing and the bare invocation."""
 
 import pytest
 
 from repro import cli
-from repro.experiments import __main__ as legacy
 
 SWEEP_ARGS = [
     "sweep",
@@ -71,50 +61,7 @@ class TestDispatch:
         assert "--port" in output
         assert "--restore" in output
 
-
-class TestLegacyShimEquivalence:
-    def test_sweep_records_byte_identical(self, tmp_path, capsys):
-        new_out = tmp_path / "new.json"
-        old_out = tmp_path / "old.json"
-        assert cli.main([*SWEEP_ARGS, "--out", str(new_out)]) == 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert legacy.main([*SWEEP_ARGS, "--out", str(old_out)]) == 0
-        assert new_out.read_bytes() == old_out.read_bytes()
-        payload = json.loads(new_out.read_text())
-        assert len(payload["records"]) == 2
-
-    def test_shim_warns_once(self, capsys):
-        legacy._warned = False
-        try:
-            with pytest.warns(DeprecationWarning, match="python -m repro"):
-                assert legacy.main(["run", "--list"]) == 0
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                assert legacy.main(["run", "--list"]) == 0  # second call: silent
-        finally:
-            legacy._warned = False
-
-    def test_shim_reexports_parsers(self):
-        assert legacy.build_sweep_parser is cli.build_sweep_parser
-        assert legacy.build_parser().prog == "python -m repro.experiments"
-
-    def test_shim_bare_invocation_still_runs_everything(self, monkeypatch, capsys):
-        # The historical contract: no args = run every experiment.  Patch the
-        # runner so the test stays fast; the point is the dispatch path.
-        ran = []
-        monkeypatch.setattr(
-            "repro.cli.run_experiment",
-            lambda name, quick: ran.append(name) or f"<{name}>",
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert legacy.main([]) == 0
-        from repro.experiments.runner import EXPERIMENTS
-
-        assert ran == sorted(EXPERIMENTS)
-
-    def test_new_cli_bare_invocation_does_not_run_everything(self, monkeypatch, capsys):
+    def test_bare_invocation_does_not_run_everything(self, monkeypatch, capsys):
         ran = []
         monkeypatch.setattr(
             "repro.cli.run_experiment",
