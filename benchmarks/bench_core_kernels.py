@@ -219,14 +219,14 @@ def bench_simulation(*, n_users: int, rounds: int, repeats: int) -> dict[str, ob
 
 
 def run_benchmarks(*, repeats: int, quick: bool = False) -> dict[str, object]:
-    """Measure every kernel pair with the incremental layer disabled.
+    """Measure every kernel pair in the cold pipeline.
 
     This benchmark certifies the *cold* python-vs-vectorized kernel gap;
-    the incremental refresh layer (which is backend-independent and would
-    make both columns measure the same code) has its own benchmark in
-    ``bench_end_to_end.py``.
+    the acceleration layers (the incremental refresh is backend-independent
+    and would make both columns measure the same code) have their own
+    benchmark in ``bench_end_to_end.py``.
     """
-    with accel.override(incremental_refresh=False):
+    with accel.override(disable_all=True):
         return _run_benchmarks_cold(repeats=repeats, quick=quick)
 
 

@@ -110,7 +110,7 @@ DEFAULT_CACHE_CONTRACTS: tuple[CacheContract, ...] = (
     CacheContract(
         module="repro/reputation/gathering.py",
         class_name="LocalTrustBuilder",
-        cache_fields=("_totals", "_watermark", "_dense_state"),
+        cache_fields=("_totals", "_watermark"),
         source_counters=("_store.epoch",),
     ),
     CacheContract(

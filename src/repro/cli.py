@@ -23,15 +23,20 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import TextIO
 
 from repro import _profiling
-from repro.durable_log import read_header
+from repro.durable_log import parse_json_line, read_first_line
 from repro.errors import ConfigurationError, IntegrityError
 from repro.experiments.journal import JOURNAL_MAGIC, verify_journal
 from repro.experiments.reporting import format_sweep_summary
-from repro.experiments.results import ExperimentRecord, verify_file_checksum
+from repro.experiments.results import (
+    ExperimentRecord,
+    checksum_sidecar_path,
+    verify_file_checksum,
+)
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.experiments.sweep import RetryPolicy, run_sweep, spec_from_options
 
@@ -242,12 +247,17 @@ def _verify_one(path: str) -> tuple[str | None, str | None]:
     is checked against its SHA-256 sidecar.  For a WAL, torn/corrupt
     *tail* lines are a warning, not a failure — they were never acked and
     the next recovery truncates them; damaged interior lines (acked
-    evidence lost) fail hard.
+    evidence lost) fail hard.  A file without a complete first line and
+    without a sidecar is a log whose header never reached the disk: ok,
+    with a warning, since opening it starts an empty log.
     """
     try:
-        header = read_header(path)
+        first_line = read_first_line(path)
     except OSError as error:
         return f"cannot read file: {error}", None
+    if not first_line.endswith(b"\n") and not os.path.exists(checksum_sidecar_path(path)):
+        return None, "no complete header line; a journal or WAL opens it as an empty log"
+    header = parse_json_line(first_line)
     kind = None if header is None else header.get("format")
     try:
         if kind == JOURNAL_MAGIC:

@@ -1,35 +1,32 @@
-"""Acceleration switches for the end-to-end pipeline.
+"""The acceleration switch for the end-to-end pipeline.
 
 The execution layers added for pipeline acceleration — incremental
-reputation refresh, shared scenario setup, per-worker scenario-run
-memoization — are all *pure* with respect to published results: enabling or
-disabling any of them must never change a record byte.  That contract is
-what makes a single global switchboard safe, and the switchboard is what
-makes the contract testable: benchmarks and property tests flip the flags
-and assert byte-identical output, and ``benchmarks/bench_end_to_end.py``
-measures the cold (all off) versus accelerated (defaults) pipeline with the
-same binary.
+reputation refresh (beta/average/pair-ledger folds), shared scenario setup
+and network caches, per-worker scenario-run memoization — are all *pure*
+with respect to published results: enabling or disabling them must never
+change a record byte.  That contract is what makes a single global switch
+safe, and the switch is what makes the contract testable: benchmarks and
+property tests compare a cold run against an accelerated one and assert
+byte-identical output, and ``benchmarks/bench_end_to_end.py`` measures the
+cold versus accelerated pipeline with the same binary.
 
 Flags
 -----
-``incremental_refresh``
-    Mechanisms fold only newly appended feedback into their score state
-    instead of rescanning the whole :class:`FeedbackStore` per refresh.
-    Default on.
-``setup_cache``
-    Social-network generation, scenario graph setup and directory plans are
-    cached by specification and reused across (scenario × mechanism) cells
-    and sweep tasks.  Default on.
+``disable_all``
+    The cold reference: every layer off — full feedback rescans per
+    refresh, per-cell scenario setup, no run memoization.  Off by default;
+    while it is off, the incremental folds and the setup/network caches
+    always run.
 ``run_cache``
     Whole scenario *simulations* are memoized per process so sweep points
     that differ only in post-simulation metric knobs (detection thresholds)
     re-evaluate the cached trace instead of re-simulating.  Default off —
-    sweep workers opt in, interactive sessions keep fresh runs.
+    sweep workers and inline sweeps opt in, interactive sessions keep fresh
+    runs.  ``disable_all`` wins over it.
 
 The environment variable ``REPRO_ACCEL`` seeds the initial state (it is read
 once at import, so forked sweep workers inherit whatever the parent set):
-a comma-separated list of ``off`` (master kill switch), ``on``,
-``no-incremental``, ``no-setup-cache``, ``run-cache`` or ``no-run-cache``.
+``off`` sets ``disable_all``; ``on`` or the empty string keep the defaults.
 """
 
 from __future__ import annotations
@@ -41,76 +38,37 @@ from collections.abc import Iterator
 
 from repro.errors import ConfigurationError
 
-#: Recognized ``REPRO_ACCEL`` tokens mapped to flag updates.
-_ENV_TOKENS = {
-    "on": {},
-    "off": {"disable_all": True},
-    "incremental": {"incremental_refresh": True},
-    "no-incremental": {"incremental_refresh": False},
-    "setup-cache": {"setup_cache": True},
-    "no-setup-cache": {"setup_cache": False},
-    "run-cache": {"run_cache": True},
-    "no-run-cache": {"run_cache": False},
-}
+#: Recognized ``REPRO_ACCEL`` values.
+_ENV_VALUES = ("", "on", "off")
 
 
 @dataclass(frozen=True)
 class AccelFlags:
-    """The switchboard state; treat instances as immutable snapshots."""
+    """The switch state; treat instances as immutable snapshots."""
 
-    incremental_refresh: bool = True
-    setup_cache: bool = True
     run_cache: bool = False
-    #: Master kill switch: when set, every accessor reports everything off
-    #: regardless of the individual flags (the cold-pipeline benchmark mode).
+    #: Master kill switch: when set, every layer is off and ``run_cache``
+    #: reads as off regardless of its own value (the cold-pipeline mode).
     disable_all: bool = False
 
     def effective(self) -> AccelFlags:
         """The flags as consumers should read them (kill switch applied)."""
         if not self.disable_all:
             return self
-        return AccelFlags(
-            incremental_refresh=False,
-            setup_cache=False,
-            run_cache=False,
-            disable_all=True,
+        return AccelFlags(run_cache=False, disable_all=True)
+
+
+def _from_env(value: str) -> AccelFlags:
+    """Parse ``REPRO_ACCEL``."""
+    token = value.strip().lower()
+    if token not in _ENV_VALUES:
+        raise ConfigurationError(
+            f"unknown REPRO_ACCEL value {token!r}; expected one of {_ENV_VALUES}"
         )
+    return AccelFlags(disable_all=token == "off")
 
 
-def _from_env(value: str) -> tuple[AccelFlags, frozenset]:
-    """Parse ``REPRO_ACCEL``: the flags plus which fields were set explicitly."""
-    flags = AccelFlags()
-    explicit = set()
-    for raw_token in value.split(","):
-        token = raw_token.strip().lower()
-        if not token:
-            continue
-        try:
-            updates = _ENV_TOKENS[token]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown REPRO_ACCEL token {token!r}; expected one of {sorted(_ENV_TOKENS)}"
-            ) from None
-        flags = replace(flags, **updates)
-        explicit.update(updates)
-    return flags, frozenset(explicit)
-
-
-_STATE: AccelFlags = _from_env(os.environ.get("REPRO_ACCEL", ""))[0]
-
-
-def env_disabled(name: str) -> bool:
-    """Whether the environment *explicitly* switched a flag off.
-
-    Code that turns a flag on programmatically by default (sweep workers
-    enable the run cache) consults this so an operator's explicit
-    ``REPRO_ACCEL=no-run-cache`` opt-out is honoured rather than silently
-    overridden.
-    """
-    env_flags, explicit = _from_env(os.environ.get("REPRO_ACCEL", ""))
-    if env_flags.disable_all:
-        return True
-    return name in explicit and not getattr(env_flags, name)
+_STATE: AccelFlags = _from_env(os.environ.get("REPRO_ACCEL", ""))
 
 
 def flags() -> AccelFlags:
@@ -137,4 +95,4 @@ def override(**updates: bool) -> Iterator[AccelFlags]:
         _STATE = previous
 
 
-__all__ = ["AccelFlags", "env_disabled", "flags", "override", "set_flags"]
+__all__ = ["AccelFlags", "flags", "override", "set_flags"]

@@ -151,12 +151,6 @@ class PeerIndex:
         except KeyError:
             raise ConfigurationError(f"unknown peer id {peer_id!r}") from None
 
-    @property
-    def position_map(self) -> dict[str, int]:
-        """The live id→position mapping (insertion order = array order);
-        treat as read-only."""
-        return self._positions
-
     def positions(self, peer_ids: Iterable[str]) -> list[int]:
         lookup = self._positions
         return [lookup[peer_id] for peer_id in peer_ids]
@@ -246,27 +240,13 @@ def dense_local_trust_matrix(
         ).reshape(n, n)
     else:
         raw = numpy.zeros((n, n), dtype=float)
-    return normalize_dense_raw(raw, copy=False)
-
-
-def normalize_dense_raw(raw: np.ndarray, *, copy: bool = True) -> np.ndarray:
-    """Clip-at-zero and row-normalize a dense signed pairwise-total matrix.
-
-    The shared tail of every dense local-trust build — per-report scatter,
-    pair-ledger scatter, or the incrementally maintained raw matrix — so
-    all of them produce bitwise-identical ``C``.  ``copy=True`` leaves the
-    input untouched (required for cached raw matrices).
-    """
-    numpy = require_numpy()
-    if copy:
-        clipped = numpy.maximum(raw, 0.0)
-    else:
-        clipped = raw
-        numpy.maximum(clipped, 0.0, out=clipped)
-    row_sums = clipped.sum(axis=1)
+    # Clip at zero, then row-normalize; rows without positive evidence stay
+    # all-zero (dangling).
+    numpy.maximum(raw, 0.0, out=raw)
+    row_sums = raw.sum(axis=1)
     nonzero = row_sums > 0.0
-    clipped[nonzero] /= row_sums[nonzero, None]
-    return clipped
+    raw[nonzero] /= row_sums[nonzero, None]
+    return raw
 
 
 def local_trust_matrix_from_columns(columns: FeedbackColumns, index: PeerIndex) -> TrustMatrix:
@@ -615,7 +595,6 @@ __all__ = [
     "local_trust_matrix_from_columns",
     "mean_scores",
     "minmax_rescale",
-    "normalize_dense_raw",
     "minmax_rescale_dict",
     "power_iteration",
     "require_numpy",

@@ -61,10 +61,15 @@ def parse_json_line(line: bytes) -> dict[str, object] | None:
     return payload if isinstance(payload, dict) else None
 
 
-def read_header(path: str) -> dict[str, object] | None:
-    """The parsed first line of ``path``; raises :class:`OSError` if unreadable."""
+def read_first_line(path: str) -> bytes:
+    """The first line of ``path``; raises :class:`OSError` if unreadable.
+
+    A first line without its newline (an empty file included) is a header
+    that never reached the disk: :meth:`LogFormat.open` starts such a file
+    as a fresh log.
+    """
     with open(path, "rb") as handle:
-        return parse_json_line(handle.readline())
+        return handle.readline()
 
 
 def fsync_directory(path: str) -> None:
@@ -134,8 +139,7 @@ class LogFormat:
     def open(self, path: str, digest: str) -> LogScan:
         """Scan a log pinned to ``digest``, first creating it if it has no header."""
         try:
-            with open(path, "rb") as handle:
-                headerless = not handle.readline().endswith(b"\n")
+            headerless = not read_first_line(path).endswith(b"\n")
         except FileNotFoundError:
             headerless = True
         if headerless:

@@ -389,15 +389,15 @@ def _worker_init() -> None:
     Turns the per-process scenario run cache on: within one worker, sweep
     points that share a simulation identity (same scenario, mechanism,
     size, seed — differing only in metric knobs) reuse the recorded trace.
-    The cache is a pure-function memo, so records are unchanged; an
-    explicit environment opt-out (``REPRO_ACCEL=no-run-cache`` or ``off``,
-    inherited through the fork/environment) is honoured.
+    The cache is a pure-function memo, so records are unchanged; a cold
+    pipeline (``REPRO_ACCEL=off`` or ``accel.override(disable_all=True)``,
+    inherited through the fork/environment) keeps it off, because
+    ``disable_all`` wins over ``run_cache``.
 
     Fault-plan firing counters are per-process state: a freshly forked
     worker starts from zero rather than inheriting its parent's counts.
     """
-    if not accel.env_disabled("run_cache"):
-        accel.set_flags(run_cache=True)
+    accel.set_flags(run_cache=True)
     faults.reset_worker_state()
 
 
@@ -637,9 +637,8 @@ def run_sweep(
             # design — they exist to stay warm).
             from repro.scenarios.runner import clear_run_cache
 
-            use_cache = not accel.env_disabled("run_cache")
             try:
-                with accel.override(run_cache=use_cache):
+                with accel.override(run_cache=True):
                     records = []
                     for task in tasks:
                         record = execute_task(task, retry)

@@ -39,10 +39,10 @@ class SimpleAverageReputation(ReputationSystem):
     def _compute_incremental(self) -> dict[str, float] | None:
         """Fold newly appended feedback into the running per-subject sums.
 
-        Returns ``None`` when incremental refresh is disabled (the caller
-        falls back to the cold rescan).
+        Returns ``None`` in the cold pipeline (``disable_all``), where the
+        caller falls back to the full rescan.
         """
-        if not accel.flags().incremental_refresh:
+        if accel.flags().disable_all:
             return None
         columns = self.store.columns()
         epoch = self.store.epoch

@@ -88,7 +88,7 @@ class BetaReputation(ReputationSystem):
                 entry[1] += weight
 
     def _compute_incremental(self) -> dict[str, float] | None:
-        if not accel.flags().incremental_refresh:
+        if accel.flags().disable_all:
             return None
         epoch = self.store.epoch
         if self._agg_watermark[0] != epoch:

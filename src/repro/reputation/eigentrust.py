@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro._util import require_unit_interval
-from repro.core import accel
 from repro.core import backend as backend_kernels
 from repro.core.backend import VECTORIZED_BACKEND, PeerIndex
 from repro.errors import ConfigurationError
@@ -128,7 +127,7 @@ class EigenTrust(ReputationSystem):
 
     def _compute_vectorized(self, peers: list[str]) -> dict[str, float]:
         index = PeerIndex(peers)
-        matrix = self._local_trust_matrix(index)
+        matrix = backend_kernels.local_trust_matrix_from_columns(self.store.columns(), index)
         restart = index.dict_to_vector(self._pretrusted_distribution(peers))
         trust, self.iterations_used = backend_kernels.power_iteration(
             matrix,
@@ -138,25 +137,6 @@ class EigenTrust(ReputationSystem):
             tolerance=self.tolerance,
         )
         return index.vector_to_dict(backend_kernels.minmax_rescale(trust))
-
-    def _local_trust_matrix(self, index: PeerIndex) -> backend_kernels.TrustMatrix:
-        """The row-normalized local trust ``C`` for the vectorized path.
-
-        With incremental refresh on, small populations clip/normalize the
-        builder's incrementally maintained dense raw matrix (O(Δ + n²) per
-        refresh instead of O(total reports)); large populations keep the
-        cold vectorized column build — at CSR sizes the numpy gather over
-        the report log is cheaper than walking the Python pair ledger, so
-        "incremental" would be a pessimization there.  All paths produce
-        bitwise-identical matrices — the pairwise totals are integers.
-        """
-        if (
-            accel.flags().incremental_refresh
-            and len(index) < backend_kernels.DENSE_TRUST_THRESHOLD
-        ):
-            raw = self.local_trust.dense_raw_totals(index.position_map, len(index))
-            return backend_kernels.normalize_dense_raw(raw)
-        return backend_kernels.local_trust_matrix_from_columns(self.store.columns(), index)
 
     @staticmethod
     def _rescale(trust: dict[str, float]) -> dict[str, float]:

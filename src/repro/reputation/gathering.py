@@ -13,13 +13,9 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
 from repro.core import accel
 from repro.simulation.transaction import Feedback
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass
@@ -228,9 +224,9 @@ class LocalTrustBuilder:
     deltas are integers, which float arithmetic represents exactly in any
     accumulation order, so the incremental ledger is *bitwise* identical to
     a full rescan — including row/column insertion order, because appends
-    fold in the same global order a rescan walks.  When
-    ``accel.flags().incremental_refresh`` is off the ledger is rebuilt from
-    scratch on every call (the cold-pipeline reference behaviour), and a
+    fold in the same global order a rescan walks.  In the cold
+    pipeline (``accel.flags().disable_all``) the ledger is rebuilt from
+    scratch on every call, and a
     store-history rewrite (eviction, ``clear``) always forces a rebuild.
     """
 
@@ -238,9 +234,6 @@ class LocalTrustBuilder:
         self._store = store
         self._totals: dict[str, dict[str, float]] = {}
         self._watermark: tuple[int, int] = (-1, 0)
-        #: Dense raw-total matrix cache: (peer-id tuple, epoch, position,
-        #: ndarray).  See :meth:`dense_raw_totals`.
-        self._dense_state: tuple[tuple[str, ...], int, int, object] | None = None
 
     def _fold_totals(
         self, totals: dict[str, dict[str, float]], columns: FeedbackColumns, start: int
@@ -268,7 +261,7 @@ class LocalTrustBuilder:
         """
         columns = self._store.columns()
         epoch = self._store.epoch
-        if not accel.flags().incremental_refresh:
+        if accel.flags().disable_all:
             totals: dict[str, dict[str, float]] = {}
             self._fold_totals(totals, columns, 0)
             # Keep the ledger consistent so flipping the flag mid-life stays
@@ -291,61 +284,6 @@ class LocalTrustBuilder:
             rater: {subject: max(0.0, value) for subject, value in row.items()}
             for rater, row in self.pair_totals().items()
         }
-
-    def dense_raw_totals(self, positions: dict[str, int], n: int) -> np.ndarray:
-        """Signed pair totals as a dense ``(n, n)`` float array, maintained
-        incrementally for a fixed peer layout.
-
-        ``positions`` maps every current participant to its dense index
-        (the :class:`~repro.core.backend.PeerIndex` layout).  While the
-        layout is unchanged, each refresh scatters only the newly appended
-        reports into the cached matrix; a layout change (a new participant
-        appeared, identities rebound) rebuilds from the pair ledger.  The
-        entries are integer-valued sums of ``±1``, so the cached matrix is
-        bitwise identical to a from-scratch scatter.  Callers must treat
-        the returned array as read-only (take a clipped/normalized copy).
-        """
-        from repro.core.backend import require_numpy
-
-        numpy = require_numpy()
-        columns = self._store.columns()
-        epoch = self._store.epoch
-        total = len(columns)
-        # Insertion order of a PeerIndex position map *is* the dense layout.
-        key = tuple(positions)
-        state = self._dense_state
-        if (
-            state is not None
-            and state[0] == key
-            and state[1] == epoch
-            and state[2] <= total
-        ):
-            raw = state[3]
-            start = state[2]
-            if start < total:
-                subjects = columns.subjects
-                raters = columns.raters
-                positives = columns.positives
-                for index in range(start, total):
-                    rater = raters[index]
-                    if rater is None:
-                        continue
-                    row = positions[rater]
-                    column = positions[subjects[index]]
-                    raw[row, column] += 1.0 if positives[index] else -1.0
-        else:
-            raw = numpy.zeros((n, n), dtype=float)
-            for rater, row_totals in self.pair_totals().items():
-                row = positions.get(rater)
-                if row is None:
-                    continue
-                raw_row = raw[row]
-                for subject, value in row_totals.items():
-                    column = positions.get(subject)
-                    if column is not None:
-                        raw_row[column] = value
-        self._dense_state = (key, epoch, total, raw)
-        return raw
 
     def normalized_local_trust(
         self, peers: Iterable[str] | None = None

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 
 from repro._util import require_unit_interval
-from repro.core import accel
 from repro.core import backend as backend_kernels
 from repro.core.backend import VECTORIZED_BACKEND, PeerIndex
 from repro.errors import ConfigurationError
@@ -152,22 +151,9 @@ class PowerTrust(ReputationSystem):
 
         return self._rescale(trust)
 
-    def _local_trust_matrix(self, index: PeerIndex) -> backend_kernels.TrustMatrix:
-        """Row-normalized ``C`` from the incremental dense raw matrix /
-        pair ledger (or a cold store rescan when incremental refresh is
-        off) — bitwise identical either way, see
-        :meth:`EigenTrust._local_trust_matrix`."""
-        if (
-            accel.flags().incremental_refresh
-            and len(index) < backend_kernels.DENSE_TRUST_THRESHOLD
-        ):
-            raw = self.local_trust.dense_raw_totals(index.position_map, len(index))
-            return backend_kernels.normalize_dense_raw(raw)
-        return backend_kernels.local_trust_matrix_from_columns(self.store.columns(), index)
-
     def _compute_vectorized(self, peers: list[str]) -> dict[str, float]:
         index = PeerIndex(peers)
-        matrix = self._local_trust_matrix(index)
+        matrix = backend_kernels.local_trust_matrix_from_columns(self.store.columns(), index)
 
         power_nodes: list[str] = list(self.power_nodes)
         trust_map: dict[str, float] = {}

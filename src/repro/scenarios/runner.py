@@ -33,11 +33,11 @@ from repro import _profiling
 from repro.core import accel
 from repro.core.backend import resolve_backend
 from repro.errors import CheckpointError, ConfigurationError
-from repro.reputation import make_reputation_system
+from repro.reputation import REPUTATION_FACTORIES, make_reputation_system
 from repro.reputation.anonymous import AnonymousFeedbackReputation
 from repro.reputation.base import ReputationSystem
 from repro.scenarios.campaign import AttackCampaign, CampaignDriver
-from repro.scenarios.catalog import build_campaign, get_scenario
+from repro.scenarios.catalog import CATALOG, build_campaign, get_scenario
 from repro.scenarios.metrics import RobustnessMetrics, ScenarioTrace, evaluate_trace
 from repro.scenarios.setup import scenario_setup
 from repro.simulation.checkpoint import (
@@ -153,13 +153,21 @@ class ScenarioRunResult:
     final_scores: dict[str, float]
 
 
-#: Per-process memo of executed simulations (run cache).  Sized to hold one
-#: full robustness matrix pass (7 catalog scenarios × 5 mechanisms) with
-#: headroom, so threshold-grid re-evaluations hit across whole passes.
-#: Entries keep the full simulation products (roughly a few MB each at
-#: laptop-scale populations), which is why the cache is opt-in.
-_RUN_CACHE_SIZE = 48
+#: Per-process memo of executed simulations (run cache), bounded by
+#: :func:`_run_cache_capacity`.  Entries keep the full simulation products
+#: (roughly a few MB each at laptop-scale populations), which is why the
+#: cache is opt-in.
 _RUN_CACHE: OrderedDict[tuple, ScenarioRunResult] = OrderedDict()
+
+
+def _run_cache_capacity() -> int:
+    """One cell per (catalog scenario × mechanism, ``"none"`` included).
+
+    Read at insert time, so a full robustness matrix pass always fits — also
+    after templates register more scenarios — and threshold-grid
+    re-evaluations hit across whole passes instead of thrashing the LRU.
+    """
+    return len(CATALOG) * (len(REPUTATION_FACTORIES) + 1)
 
 
 def clear_run_cache() -> None:
@@ -345,7 +353,7 @@ def run_scenario(
         result = _collect_result(config, campaign, simulator, trace)
     if run_key is not None:
         _RUN_CACHE[run_key] = result
-        while len(_RUN_CACHE) > _RUN_CACHE_SIZE:
+        while len(_RUN_CACHE) > _run_cache_capacity():
             _RUN_CACHE.popitem(last=False)
     return result
 

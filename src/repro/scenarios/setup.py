@@ -101,10 +101,10 @@ def build_scenario_setup(config: ScenarioRunConfig) -> ScenarioSetup:
     else:
         # Population-changing scenarios mutate the graph; never hand them
         # the shared base network.  (Cold mode regenerates outright.)
-        if accel.flags().setup_cache:
-            graph = cached_social_network(spec).copy()
-        else:
+        if accel.flags().disable_all:
             graph = generate_social_network(spec)
+        else:
+            graph = cached_social_network(spec).copy()
         # Population changes (sybil injection) draw from their own derived
         # stream so the generator's draws stay untouched.
         setup_rng = RandomStreams(config.seed).stream("scenario-setup")
@@ -118,7 +118,7 @@ def build_scenario_setup(config: ScenarioRunConfig) -> ScenarioSetup:
 
 def scenario_setup(config: ScenarioRunConfig) -> ScenarioSetup:
     """The (possibly cached) setup for one scenario run configuration."""
-    if not accel.flags().setup_cache:
+    if accel.flags().disable_all:
         return build_scenario_setup(config)
     key = _setup_key(config)
     if key is None:

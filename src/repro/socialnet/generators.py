@@ -233,10 +233,11 @@ def cached_social_network(spec: SocialNetworkSpec) -> SocialGraph:
     graph's mutation :attr:`~repro.socialnet.graph.SocialGraph.version` at
     store time and regenerates on mismatch, so a consumer that does mutate
     a shared graph costs a rebuild rather than corrupting later runs.
-    Callers that need to mutate should take ``.copy()`` first.  With the
-    setup cache disabled this is exactly :func:`generate_social_network`.
+    Callers that need to mutate should take ``.copy()`` first.  Under
+    ``accel.override(disable_all=True)`` this is exactly
+    :func:`generate_social_network`.
     """
-    if not accel.flags().setup_cache:
+    if accel.flags().disable_all:
         return generate_social_network(spec)
     key = _spec_cache_key(spec)
     if key is None:

@@ -1,4 +1,4 @@
-"""Unit tests for the acceleration switchboard."""
+"""Unit tests for the acceleration switch."""
 
 import pytest
 
@@ -9,71 +9,49 @@ from repro.errors import ConfigurationError
 class TestFlags:
     def test_defaults(self):
         flags = accel.AccelFlags()
-        assert flags.incremental_refresh
-        assert flags.setup_cache
         assert not flags.run_cache
         assert not flags.disable_all
 
     def test_override_restores_previous_state(self):
         before = accel.flags()
-        with accel.override(incremental_refresh=False, run_cache=True) as inside:
-            assert not inside.incremental_refresh
+        with accel.override(run_cache=True) as inside:
             assert inside.run_cache
         assert accel.flags() == before
 
     def test_override_restores_on_error(self):
         before = accel.flags()
-        with pytest.raises(RuntimeError), accel.override(setup_cache=False):
+        with pytest.raises(RuntimeError), accel.override(disable_all=True):
             raise RuntimeError("boom")
         assert accel.flags() == before
 
     def test_disable_all_wins_over_individual_flags(self):
         with accel.override(run_cache=True, disable_all=True) as flags:
-            assert not flags.incremental_refresh
-            assert not flags.setup_cache
             assert not flags.run_cache
 
     def test_nested_overrides(self):
-        with accel.override(incremental_refresh=False):
+        with accel.override(disable_all=True):
             with accel.override(run_cache=True) as inner:
-                assert not inner.incremental_refresh
-                assert inner.run_cache
-            assert not accel.flags().incremental_refresh
-            assert not accel.flags().run_cache
+                assert inner.disable_all
+                assert not inner.run_cache
+            assert accel.flags().disable_all
+        assert not accel.flags().disable_all
 
 
 class TestEnvParsing:
     def test_tokens(self):
-        flags, _ = accel._from_env("no-incremental,run-cache")
-        assert not flags.incremental_refresh
-        assert flags.run_cache
-        assert flags.setup_cache
+        assert accel._from_env("on") == accel.AccelFlags()
+        assert accel._from_env("OFF") == accel.AccelFlags(disable_all=True)
 
     def test_off_token_sets_master_switch(self):
-        flags, _ = accel._from_env("off")
+        flags = accel._from_env("off")
         assert flags.disable_all
-        assert not flags.effective().incremental_refresh
+        assert not flags.effective().run_cache
 
     def test_empty_and_whitespace_tokens_ignored(self):
-        assert accel._from_env(" , ,on,")[0] == accel.AccelFlags()
+        assert accel._from_env("") == accel.AccelFlags()
+        assert accel._from_env("  ") == accel.AccelFlags()
 
     def test_unknown_token_rejected(self):
-        with pytest.raises(ConfigurationError):
-            accel._from_env("warp-speed")
-
-    def test_from_env_tracks_explicit_fields(self):
-        _, explicit = accel._from_env("no-run-cache")
-        assert explicit == {"run_cache"}
-        _, explicit = accel._from_env("")
-        assert explicit == frozenset()
-
-    def test_env_disabled_honours_explicit_opt_out(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ACCEL", raising=False)
-        assert not accel.env_disabled("run_cache")  # default off != opted out
-        monkeypatch.setenv("REPRO_ACCEL", "no-run-cache")
-        assert accel.env_disabled("run_cache")
-        assert not accel.env_disabled("incremental_refresh")
-        monkeypatch.setenv("REPRO_ACCEL", "off")
-        assert accel.env_disabled("run_cache")
-        monkeypatch.setenv("REPRO_ACCEL", "run-cache")
-        assert not accel.env_disabled("run_cache")
+        for value in ("warp-speed", "no-run-cache", "on,off"):
+            with pytest.raises(ConfigurationError, match="'on'.*'off'"):
+                accel._from_env(value)

@@ -15,6 +15,7 @@ from repro.experiments.results import (
     write_records_json,
 )
 from repro.experiments.sweep import SweepSpec, run_sweep
+from repro.serving.wal import WriteAheadLog
 
 
 def make_record(status="ok", failure=None):
@@ -133,6 +134,41 @@ class TestVerifyRecordsCli:
 
     def test_unreadable_path_fails(self, tmp_path, capsys):
         assert main(["verify-records", str(tmp_path / "absent.json")]) == 1
+
+    def test_empty_journal_opens_as_empty_log(self, tmp_path, capsys):
+        journal = tmp_path / "sweep.jnl"
+        journal.write_bytes(b"")
+        assert main(["verify-records", str(journal)]) == 0
+        assert f"{journal}: ok (warning: " in capsys.readouterr().out
+        spec = SweepSpec(experiment="figure1", grids={"n_users": [12]}, seed=3)
+        run_sweep(spec, journal=str(journal))
+        assert main(["verify-records", str(journal)]) == 0
+        assert capsys.readouterr().out.strip() == f"{journal}: ok"
+
+    def test_unterminated_wal_header_opens_as_empty_log(self, tmp_path, capsys):
+        wal_path = tmp_path / "serve.wal"
+        wal_path.write_bytes(b'{"config_sha256": "ab')
+        assert main(["verify-records", str(wal_path)]) == 0
+        assert f"{wal_path}: ok (warning: " in capsys.readouterr().out
+        wal, entries, n_truncated = WriteAheadLog.open(str(wal_path), config_sha256="0" * 64)
+        wal.close()
+        assert (entries, n_truncated) == ([], 0)
+
+    def test_headerless_file_with_sidecar_is_checked(self, tmp_path, capsys):
+        path = tmp_path / "digest.txt"
+        path.write_bytes(b"no trailing newline")
+        write_checksum_sidecar(str(path))
+        assert main(["verify-records", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == f"{path}: ok"
+        path.write_bytes(b"no trailing newlinE")
+        assert main(["verify-records", str(path)]) == 1
+        assert "SHA-256 mismatch" in capsys.readouterr().out
+
+    def test_records_file_without_sidecar_fails(self, tmp_path, capsys):
+        path = tmp_path / "records.json"
+        write_records_json(str(path), [make_record()])
+        assert main(["verify-records", str(path)]) == 1
+        assert "missing checksum sidecar" in capsys.readouterr().out
 
 
 class TestSweepCliFaultFlags:

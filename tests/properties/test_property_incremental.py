@@ -84,19 +84,19 @@ def test_incremental_refresh_matches_cold_refresh(batches, mechanism_index, cap)
     """After every batch, incremental and cold publish identical scores."""
     factory = FACTORIES[mechanism_index]
     for backend in available_backends():
-        with accel.override(incremental_refresh=True, disable_all=False):
+        with accel.override(disable_all=False):
             incremental = factory(backend, cap)
-        with accel.override(incremental_refresh=False):
+        with accel.override(disable_all=True):
             cold = factory(backend, cap)
         for batch in batches:
             for feedback in batch:
-                with accel.override(incremental_refresh=True, disable_all=False):
+                with accel.override(disable_all=False):
                     incremental.record_feedback(feedback)
-                with accel.override(incremental_refresh=False):
+                with accel.override(disable_all=True):
                     cold.record_feedback(feedback)
-            with accel.override(incremental_refresh=True, disable_all=False):
+            with accel.override(disable_all=False):
                 published_incremental = incremental.refresh()
-            with accel.override(incremental_refresh=False):
+            with accel.override(disable_all=True):
                 published_cold = cold.refresh()
             assert list(published_incremental.items()) == list(published_cold.items())
 
@@ -112,7 +112,7 @@ def test_refresh_survives_clear_and_reset(batches, mechanism_index):
     semantics — what must match is a reset system versus a fresh one.
     """
     factory = FACTORIES[mechanism_index]
-    with accel.override(incremental_refresh=True, disable_all=False):
+    with accel.override(disable_all=False):
         system = factory("python", None)
         reference = factory("python", None)
         for batch_index, batch in enumerate(batches):

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro._profiling import profiled
 from repro.core import accel
+from repro.experiments import robustness
 from repro.scenarios.catalog import build_campaign, clear_campaign_cache
-from repro.scenarios.runner import ScenarioRunConfig, run_scenario
+from repro.scenarios.runner import ScenarioRunConfig, clear_run_cache, run_scenario
 from repro.scenarios.setup import (
     build_scenario_setup,
     clear_setup_cache,
@@ -61,7 +63,7 @@ class TestNetworkCache:
         assert "intruder" not in regenerated
 
     def test_disabled_flag_generates_fresh(self):
-        with accel.override(setup_cache=False):
+        with accel.override(disable_all=True):
             first = cached_social_network(SPEC)
             second = cached_social_network(SPEC)
         assert first is not second
@@ -108,7 +110,7 @@ class TestScenarioSetupCache:
             scenario="sybil-burst", mechanism="average", n_users=14, rounds=10, seed=2
         )
         cached = scenario_setup(config)
-        with accel.override(setup_cache=False):
+        with accel.override(disable_all=True):
             fresh = build_scenario_setup(config)
         assert cached.graph.user_ids() == fresh.graph.user_ids()
         assert [entry[0] for entry in cached.plan.entries] == [
@@ -125,7 +127,7 @@ class TestScenarioSetupCache:
         shared = run_scenario(**kwargs)
         clear_network_cache()
         clear_setup_cache()
-        with accel.override(setup_cache=False):
+        with accel.override(disable_all=True):
             fresh = run_scenario(**kwargs)
         assert shared.robustness == fresh.robustness
         assert shared.final_scores == fresh.final_scores
@@ -180,3 +182,20 @@ class TestCampaignMemo:
         # The stateful phased churn model is rewound per run, so a shared
         # campaign object yields identical trajectories.
         assert first.robustness == second.robustness
+
+
+class TestRunCache:
+    def test_full_default_matrix_fits_in_the_run_cache(self):
+        """A second pass over the whole catalog × default mechanisms never
+        re-simulates: the LRU holds every cell, not a thrashing subset."""
+        clear_run_cache()
+        try:
+            with accel.override(run_cache=True):
+                first = robustness.run(n_users=10, rounds=4)
+                with profiled() as timer:
+                    second = robustness.run(n_users=10, rounds=4)
+        finally:
+            clear_run_cache()
+        assert "simulate" not in timer.seconds
+        assert timer.counts["metrics"] == len(first.outcomes)
+        assert robustness.summarize(first) == robustness.summarize(second)
